@@ -19,8 +19,8 @@ fastest at:
 
 Construction is the decisive win: transposing 100k x 64 rows costs
 ~130 ms in pure Python versus ~8 ms here (one ``np.array`` ingest plus
-one shift-and-``packbits`` pass per attribute), and end-to-end solve
-workloads are construction-dominated.
+one AND, compare and ``packbits`` pass per attribute), and end-to-end
+solve workloads are construction-dominated.
 
 Popcounts use :func:`numpy.bitwise_count` when available (numpy >= 2.0)
 and a table-driven per-byte lookup otherwise.
@@ -43,6 +43,9 @@ __all__ = ["PackedNumpyStore"]
 _M64 = (1 << 64) - 1
 _U8 = np.dtype("<u8")
 _CHUNK_ROWS = 1 << 16  # transpose in bounded-memory chunks
+_SCAN_ROWS = 1 << 15  # rows per L2-resident block of a subset-count scan
+#: gather a ``within`` selector's words only when at most 1/4 are nonzero
+_SPARSE_WITHIN = 4
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 if not _HAS_BITWISE_COUNT:  # pragma: no cover - numpy >= 2.0 in CI
@@ -74,7 +77,7 @@ class PackedNumpyStore(ColumnStore):
 
     __slots__ = (
         "_rw", "_capacity", "_rows", "_cols",
-        "_int_cache", "_wkey", "_wbools", "_cwkey", "_cwords",
+        "_int_cache", "_wkey", "_wbools", "_cwithin",
     )
 
     def __init__(self, width: int, num_rows: int, rows: np.ndarray) -> None:
@@ -87,8 +90,7 @@ class PackedNumpyStore(ColumnStore):
         self._int_cache: dict[int, int] = {}
         self._wkey: int | None = None
         self._wbools: np.ndarray | None = None
-        self._cwkey: int | None = None
-        self._cwords: np.ndarray | None = None
+        self._cwithin: tuple[int, np.ndarray, np.ndarray | None] | None = None
 
     # -- constructors ------------------------------------------------------------
 
@@ -146,10 +148,13 @@ class PackedNumpyStore(ColumnStore):
         count = self.num_rows
         col_bytes = ((count + 63) // 64) * 8
         cols = np.zeros((self.width, col_bytes), dtype=np.uint8)
-        one = np.uint64(1)
+        # scratch reused across columns: no per-column temporaries
+        masked = np.empty(count, dtype=np.uint64)
+        bits = np.empty(count, dtype=bool)
         for attribute in range(self.width):
             word, bit = divmod(attribute, 64)
-            bits = ((rows[:, word] >> np.uint64(bit)) & one).astype(np.uint8)
+            np.bitwise_and(rows[:, word], np.uint64(1 << bit), out=masked)
+            np.not_equal(masked, 0, out=bits)
             packed = np.packbits(bits, bitorder="little")
             cols[attribute, : packed.size] = packed
         self._cols = cols.view(_U8)
@@ -159,7 +164,7 @@ class PackedNumpyStore(ColumnStore):
         self._cols = None
         self._int_cache.clear()
         self._wkey = self._wbools = None
-        self._cwkey = self._cwords = None
+        self._cwithin = None
 
     def _within_bools(self, within: int) -> np.ndarray:
         """Boolean row selector for a ``within`` bitset (1-slot cache)."""
@@ -173,13 +178,24 @@ class PackedNumpyStore(ColumnStore):
         self._wkey, self._wbools = within, bools
         return bools
 
-    def _within_words(self, within: int) -> np.ndarray:
-        """uint64-word view of a ``within`` bitset (1-slot cache)."""
-        if within == self._cwkey and self._cwords is not None:
-            return self._cwords
+    def _within_words(self, within: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """``within`` as uint64 words for column ANDs (1-slot cache).
+
+        A sparse selector (nonzero in at most 1/``_SPARSE_WITHIN`` of its
+        words) comes back as its nonzero words plus their positions, so
+        callers gather just those words of each column; a dense one as
+        every word, with ``None`` for the positions.
+        """
+        cached = self._cwithin
+        if cached is not None and cached[0] == within:
+            return cached[1], cached[2]
         words = _int_to_words(within, (self.num_rows + 63) // 64)
-        self._cwkey, self._cwords = within, words
-        return words
+        where = None
+        if np.count_nonzero(words) * _SPARSE_WITHIN <= words.size:
+            where = np.flatnonzero(words)
+            words = words[where]
+        self._cwithin = (within, words, where)
+        return words, where
 
     def _violators(self, keep_mask: int) -> np.ndarray:
         """Boolean mask of rows *not* contained in ``keep_mask``."""
@@ -255,7 +271,29 @@ class PackedNumpyStore(ColumnStore):
         )
         return value if within is None else value & within
 
+    def _scan_subset_counts(self, keep_masks: Sequence[int]) -> list[int]:
+        """Satisfied counts over every row of a single-word-row log.
+
+        One reused cache-resident scratch block: the AND output stays in
+        L2 while each candidate streams the rows once.
+        """
+        flat = self._row_view()[:, 0]
+        scratch = np.empty(min(_SCAN_ROWS, self.num_rows), dtype=np.uint64)
+        counts = []
+        for keep in keep_masks:
+            exclude = np.uint64(~keep & _M64)
+            violators = 0
+            for start in range(0, self.num_rows, _SCAN_ROWS):
+                block = flat[start : start + _SCAN_ROWS]
+                out = scratch[: block.size]
+                np.bitwise_and(block, exclude, out=out)
+                violators += int(np.count_nonzero(out))
+            counts.append(self.num_rows - violators)
+        return counts
+
     def subset_count(self, keep_mask: int, within: int | None) -> int:
+        if within is None and self._rw == 1:
+            return self._scan_subset_counts((keep_mask,))[0]
         violators = self._violators(keep_mask)
         if within is None:
             return self.num_rows - int(np.count_nonzero(violators))
@@ -267,23 +305,10 @@ class PackedNumpyStore(ColumnStore):
     ) -> list[int]:
         if self._rw != 1:
             return [self.subset_count(keep, within) for keep in keep_masks]
+        if within is None:
+            return self._scan_subset_counts(keep_masks)
         flat = self._row_view()[:, 0]
         counts = []
-        if within is None:
-            # one reused cache-resident scratch block: the AND output
-            # stays in L2 while each candidate streams the rows once
-            step = 1 << 15
-            scratch = np.empty(min(step, self.num_rows), dtype=np.uint64)
-            for keep in keep_masks:
-                exclude = np.uint64(~keep & _M64)
-                violators = 0
-                for start in range(0, self.num_rows, step):
-                    block = flat[start : start + step]
-                    out = scratch[: block.size]
-                    np.bitwise_and(block, exclude, out=out)
-                    violators += int(np.count_nonzero(out))
-                counts.append(self.num_rows - violators)
-            return counts
         mask = self._within_bools(within)
         for keep in keep_masks:
             ok = (flat & np.uint64(~keep & _M64)) == 0
@@ -307,9 +332,15 @@ class PackedNumpyStore(ColumnStore):
         if not selected or self.num_rows == 0:
             return counts
         cols = self._ensure_cols()
-        chosen = cols[selected]
-        if within is not None:
-            chosen = chosen & self._within_words(within)
+        if within is None:
+            chosen = cols[selected]
+        else:
+            words, where = self._within_words(within)
+            if where is None:
+                chosen = cols[selected]
+            else:  # sparse selector: gather only its nonzero words
+                chosen = cols[np.ix_(selected, where)]
+            np.bitwise_and(chosen, words, out=chosen)
         per_attribute = _popcount_rows(chosen)
         for position, attribute in enumerate(selected):
             counts[attribute] = int(per_attribute[position])

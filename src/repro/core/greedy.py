@@ -123,8 +123,12 @@ class ConsumeAttrCumulSolver(_EngineSolver):
 
     Vertical engine: the co-occurrence of a candidate with the selected
     set is ``popcount(current & column(a))`` where ``current`` is the
-    running AND of the selected columns — one wide AND per candidate
-    instead of a scan over all satisfiable queries.
+    running AND of the selected columns.  Each step makes one batched
+    kernel count, ``attribute_frequencies(pool=unpicked, within=current)``,
+    instead of a scan over all satisfiable queries, then narrows
+    ``current`` by the picked column.  Step 1 reuses the frequencies,
+    since co-occurrence with the empty selection is the frequency.  The
+    deadline is checked once per step.
     """
 
     name = "ConsumeAttrCumul"
@@ -170,25 +174,29 @@ class ConsumeAttrCumulSolver(_EngineSolver):
         self, problem: VisibilityProblem, frequencies: list[int]
     ) -> Solution:
         index = problem.index
-        candidates = set(bit_indices(problem.new_tuple))
+        candidates = bit_indices(problem.new_tuple)
+        pool = problem.new_tuple  # the candidates, as a mask
         keep_mask = 0
         current = problem.satisfiable_tids  # AND of selected columns so far
-        ticker = active_ticker(context="ConsumeAttrCumul pass")
+        cooccurrence = frequencies  # with the empty selection
+        # a step is one batched count, so the clock is read every step
+        ticker = active_ticker(every=1, context="ConsumeAttrCumul pass")
+        picked = 0  # the previous step's pick
         for _ in range(problem.budget):
-            best_attribute = None
-            best_key: tuple[int, int, int] | None = None
+            ticker.tick(keep_mask)
+            if picked:
+                current = index.cooccurring_rows(picked, within=current)
+                cooccurrence = index.attribute_frequencies(pool=pool, within=current)
+            best_attribute, best_key = -1, (-1, 0, 0)  # any real key beats it
             for attribute in candidates:
-                ticker.tick(keep_mask)
-                cooccurrence = (current & index.column(attribute)).bit_count()
-                key = (cooccurrence, frequencies[attribute], -attribute)
-                if best_key is None or key > best_key:
+                key = (cooccurrence[attribute], frequencies[attribute], -attribute)
+                if key > best_key:
                     best_key = key
                     best_attribute = attribute
-            if best_attribute is None:
-                break
-            keep_mask |= 1 << best_attribute
-            current &= index.column(best_attribute)
-            candidates.discard(best_attribute)
+            picked = 1 << best_attribute
+            keep_mask |= picked
+            pool ^= picked
+            candidates.remove(best_attribute)
         self._record_passes(bit_count(keep_mask))
         return self.make_solution(problem, keep_mask)
 

@@ -46,6 +46,11 @@ def probe(index: VerticalIndex, width: int, seed: int):
     rng = random.Random(seed)
     keeps = [rng.randrange(1 << width) for _ in range(8)] + [0, full_mask(width)]
     within = index.satisfied_rows(keeps[0])
+    # a few rows in a few 64-row words, the last row included: on long
+    # logs this is a sparse selector, which packed kernels gather
+    sparse = sum(1 << tid for tid in range(0, index.num_rows, 700))
+    if index.num_rows:
+        sparse |= 1 << (index.num_rows - 1)
     answers = {
         "columns": index.columns,
         "used": index.used_attributes,
@@ -59,6 +64,7 @@ def probe(index: VerticalIndex, width: int, seed: int):
         "disjoint": [index.disjoint_rows(k) for k in keeps],
         "frequencies": index.attribute_frequencies(),
         "frequencies_pooled": index.attribute_frequencies(keeps[1], within),
+        "frequencies_sparse": index.attribute_frequencies(keeps[1], sparse),
     }
     if width <= 16:
         pool = index.used_attributes or keeps[1]
@@ -88,6 +94,15 @@ def test_kernels_match_reference_on_random_instances(kernel, seed):
     reference = VerticalIndex(width, rows, kernel="python")
     candidate = VerticalIndex(width, rows, kernel=kernel)
     assert probe(candidate, width, seed) == probe(reference, width, seed)
+
+
+@pytest.mark.parametrize("kernel", FAST)
+@pytest.mark.parametrize(("width", "num_rows"), [(64, 1024), (70, 4099)])
+def test_kernels_match_reference_on_long_logs(kernel, width, num_rows):
+    rows = random_rows(width, num_rows, seed=11, density=0.05)
+    reference = VerticalIndex(width, rows, kernel="python")
+    candidate = VerticalIndex(width, rows, kernel=kernel)
+    assert probe(candidate, width, seed=19) == probe(reference, width, seed=19)
 
 
 @pytest.mark.parametrize("kernel", CONCRETE)

@@ -1,7 +1,11 @@
 """Tests for the cooperative deadline primitive."""
 
+import random
+
 import pytest
 
+from repro.booldata import BooleanTable, Schema, kernels
+from repro.common.bits import bit_count, is_subset, random_mask
 from repro.common.deadline import (
     NULL_TICKER,
     Deadline,
@@ -15,6 +19,7 @@ from repro.common.errors import (
     SolverInterrupted,
     ValidationError,
 )
+from repro.core import VisibilityProblem, make_solver
 
 
 class FakeClock:
@@ -26,6 +31,15 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+class SteppingClock(FakeClock):
+    """A fake clock that moves one second forward after every read."""
+
+    def __call__(self) -> float:
+        now = self.now
+        self.now += 1.0
+        return now
 
 
 class TestDeadline:
@@ -128,3 +142,35 @@ class TestAmbientDeadline:
             ticker.tick()
             with pytest.raises(DeadlineExceededError):
                 ticker.tick()
+
+
+class TestSolverCheckpoints:
+    @pytest.mark.parametrize(
+        "kernel", [k for k in ("python", "numpy") if k in kernels.available_kernels()]
+    )
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_expired_deadline_interrupts_vertical_consume_attr_cumul(
+        self, kernel, steps
+    ):
+        # 14 tuple attributes and m=6: fewer checkpoints than the default
+        # stride, so a per-candidate tick would never read the clock
+        rng = random.Random(5)
+        schema = Schema.anonymous(20)
+        log = BooleanTable(
+            schema, [random_mask(20, rng.randrange(1, 4), rng) for _ in range(400)]
+        )
+        new_tuple = random_mask(20, 14, rng)
+        budget = 6
+        solver = make_solver("ConsumeAttrCumul", engine="vertical")
+        full = solver.solve(VisibilityProblem(log, new_tuple, budget, kernel=kernel))
+        # construction reads 0; the checkpoint of step k (from 1) reads k,
+        # so the deadline fires at the start of step ``steps + 1``
+        deadline = Deadline(steps + 0.5, clock=SteppingClock())
+        with deadline_scope(deadline):
+            with pytest.raises(DeadlineExceededError) as excinfo:
+                solver.solve(VisibilityProblem(log, new_tuple, budget, kernel=kernel))
+        best = excinfo.value.best_known
+        assert is_subset(best, new_tuple)
+        assert bit_count(best) == steps <= budget
+        # the interrupted run had made the uninterrupted run's first picks
+        assert is_subset(best, full.keep_mask)

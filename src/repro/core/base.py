@@ -6,6 +6,7 @@ import abc
 import time
 
 from repro.common.bits import bit_count
+from repro.common.deadline import active_deadline
 from repro.core.problem import Solution, VisibilityProblem
 from repro.obs.recorder import get_recorder
 
@@ -29,6 +30,10 @@ class Solver(abc.ABC):
         * ``m >= |t|`` — keep the whole tuple (compression is a no-op);
         * ``m == 0``  — keep nothing; only all-empty queries match;
         * empty log   — nothing to satisfy, any ``m`` attributes do.
+
+        A non-trivial solve first checks the ambient deadline, so every
+        solver refuses to start past an expired one, including a solver
+        whose loop is too short to reach its checkpoint stride.
         """
         if problem.budget >= problem.tuple_size:
             keep = problem.new_tuple
@@ -37,6 +42,9 @@ class Solver(abc.ABC):
             return self._finish(problem, 0, trivial="budget=0")
         if not len(problem.log):
             return self._finish(problem, problem.pad_to_budget(0), trivial="empty log")
+        deadline = active_deadline()
+        if deadline is not None:
+            deadline.check(context=self.name)
         recorder = get_recorder()
         if not recorder.enabled:
             return self._solve(problem)

@@ -224,15 +224,19 @@ class ConsumeQueriesSolver(_EngineSolver):
         keep_mask = 0
         budget_left = problem.budget
         consumed = 0
-        ticker = active_ticker(every=4096, context="ConsumeQueries pass")
+        # the clock is read at every step and every 256 rows of a pass, so
+        # neither a short solve nor one long pass runs past a deadline
+        step_ticker = active_ticker(every=1, context="ConsumeQueries pass")
+        row_ticker = active_ticker(context="ConsumeQueries pass")
         while budget_left > 0:
+            step_ticker.tick(keep_mask)
             best_query = None
             best_new = None
             # Full pass over the whole workload each iteration, exactly as
             # the paper describes ("we make a pass on the whole workload at
             # each iteration") — this is what makes it the slowest greedy.
             for query in problem.log:
-                ticker.tick(keep_mask)
+                row_ticker.tick(keep_mask)
                 if query & new_tuple != query:
                     continue  # demands attributes the product lacks
                 new_attributes = bit_count(query & ~keep_mask)
@@ -261,12 +265,14 @@ class ConsumeQueriesSolver(_EngineSolver):
         # zero new attributes is exactly a covered one, so the naive
         # engine's eligibility filter becomes bitset maintenance.
         uncovered = problem.satisfiable_tids & ~index.satisfied_rows(keep_mask)
-        ticker = active_ticker(every=4096, context="ConsumeQueries pass")
+        step_ticker = active_ticker(every=1, context="ConsumeQueries pass")
+        row_ticker = active_ticker(context="ConsumeQueries pass")
         while budget_left > 0 and uncovered:
+            step_ticker.tick(keep_mask)
             best_query = None
             best_new = None
             for tid in iter_bit_indices(uncovered):
-                ticker.tick(keep_mask)
+                row_ticker.tick(keep_mask)
                 new_attributes = bit_count(log[tid] & ~keep_mask)
                 if new_attributes > budget_left:
                     continue
@@ -340,7 +346,8 @@ class CoverageGreedySolver(_EngineSolver):
     def _solve_vertical(self, problem: VisibilityProblem) -> Solution:
         index = problem.index
         keep_mask = 0
-        ticker = active_ticker(context="CoverageGreedy pass")
+        # a step is one prefix/suffix sweep, so the clock is read every step
+        ticker = active_ticker(every=1, context="CoverageGreedy pass")
         # Still-incomplete satisfiable queries.  The naive engine keeps
         # already-complete (e.g. empty) queries in its list until the
         # first filter pass; they shift every candidate's `completed`
@@ -348,6 +355,7 @@ class CoverageGreedySolver(_EngineSolver):
         # every comparison — and the selection — unchanged.
         remaining = problem.satisfiable_tids & ~index.satisfied_rows(keep_mask)
         for _ in range(problem.budget):
+            ticker.tick(keep_mask)
             pool = bit_indices(problem.new_tuple & ~keep_mask)
             if not pool:
                 break
@@ -363,7 +371,6 @@ class CoverageGreedySolver(_EngineSolver):
             best_violators = 0
             prefix = 0
             for i, attribute in enumerate(pool):
-                ticker.tick(keep_mask)
                 violators = prefix | suffix[i + 1]
                 completed = (remaining & ~violators).bit_count()
                 touched = (remaining & columns[i]).bit_count() - completed

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from repro.booldata.table import BooleanTable
 from repro.common.bits import bit_count, bit_indices, mask_complement
 from repro.common.combinatorics import binomial, combinations_of_mask
-from repro.common.deadline import active_ticker
+from repro.common.deadline import active_ticker, deadline_scope
 from repro.common.errors import (
     SolverBudgetExceededError,
     SolverInterrupted,
@@ -316,13 +316,15 @@ class MaxFreqItemsetsSolver(Solver):
         interruption fired before any candidate existed (e.g. inside the
         miner) the ConsumeAttr selection — always cheap and always a
         valid compression — stands in, so the anytime path never comes
-        back empty-handed.
+        back empty-handed.  It runs outside the ambient deadline, which
+        has already expired and would refuse it at its opening check.
         """
         incumbent = error.best_known
         if isinstance(incumbent, _LevelPick):
             incumbent = pick_to_mask(incumbent)
         if incumbent is None:
-            incumbent = ConsumeAttrSolver().solve(problem).keep_mask
+            with deadline_scope(None):
+                incumbent = ConsumeAttrSolver().solve(problem).keep_mask
         return type(error)(str(error), best_known=incumbent)
 
     def _solve_projected(self, problem: VisibilityProblem) -> Solution:

@@ -76,8 +76,12 @@ class _RandomWalkMinerBase:
     def mine(self, database) -> tuple[dict[int, int], WalkStatistics]:
         """Return ``({mfi_mask: support}, statistics)``.
 
-        With high probability (for enough iterations) the dict holds all
-        MFIs of ``database`` at ``self.threshold``.
+        Every returned itemset is an MFI of ``database`` at
+        ``self.threshold``, with its exact support.  Completeness holds
+        only with high probability: walks are independent and at least
+        ``min_iterations`` of them run, so an MFI that one walk reaches
+        with probability ``p`` is missed with probability at most
+        ``(1 - p) ** min_iterations``.
         """
         self._steps = 0
         if database.num_transactions < self.threshold:

@@ -16,8 +16,8 @@ its own lock.  Any number of worker threads may ``inc``/``set``/
 server) renders — increments are never lost, histogram ``sum``/
 ``count``/bucket series are internally consistent in every exposition,
 and no iteration races a mutation.  The locks are uncontended in the
-single-threaded case and cost well under the 5% overhead gate of
-``BENCH_obs.json``.
+single-threaded case; ``docs/observability.md`` reports the measured
+overhead of a recording run.
 
 >>> registry = MetricsRegistry()
 >>> registry.counter("repro_demo_total", "Demo counter.").inc(3)

@@ -19,8 +19,10 @@ preferred solver is interrupted, crashes, or returns garbage:
 5. when the deadline expires before the terminal (safety-net) solver
    had a chance and no incumbent exists, the terminal solver runs under
    one fresh *grace window* of the same duration — bounding the total
-   wall clock at roughly twice the deadline while guaranteeing the fast
-   greedy tier still gets to answer.
+   wall clock at roughly twice the deadline while the fast greedy tier
+   still gets to answer.  A zero-length deadline gets no answer: its
+   grace window is expired too, and every solver refuses to start past
+   an expired deadline.
 
 An optional :class:`~repro.runtime.breaker.CircuitBreaker` skips the
 non-terminal tiers entirely while open (serving-path protection), and an

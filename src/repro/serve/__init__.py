@@ -15,9 +15,8 @@ per-tenant and global queue depth and sheds load with 429/503 instead
 of queueing without bound; solver work runs on a thread-pool executor
 so the event loop never blocks on a solve.
 
-``benchmarks/serve_workload.py`` drives the load generator
-(:mod:`repro.serve.loadgen`) at hundreds of concurrent tenants to the
-p99 bar recorded in ``BENCH_serve.json``.  See ``docs/serving.md``.
+perfbench's ``serve_mixed`` workload measures it end to end.  See
+``docs/serving.md``.
 """
 
 from repro.serve.admission import AdmissionController

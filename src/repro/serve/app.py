@@ -56,6 +56,9 @@ __all__ = [
 #: largest accepted request body (an ingest batch of masks fits easily)
 MAX_BODY_BYTES = 1 << 20
 
+#: most header lines accepted in one request
+MAX_HEADER_LINES = 100
+
 #: seconds suggested to shed clients via ``Retry-After``
 RETRY_AFTER_S = 1
 
@@ -240,33 +243,14 @@ class VisibilityServer:
                 pass
 
     async def _serve_one(self, reader, writer) -> bool:
-        request_line = await reader.readline()
-        if not request_line:
-            return False
         try:
-            method, target, version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
-            await self._respond(writer, 400, {"error": "malformed request line"})
+            head = await _read_head(reader)
+        except ProtocolError as error:
+            await self._respond(writer, error.status, {"error": str(error)})
             return False
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            await self._respond(writer, 400, {"error": "bad Content-Length"})
+        if head is None:
             return False
-        if length > MAX_BODY_BYTES:
-            await self._respond(
-                writer, 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
-            )
-            return False
+        method, target, version, headers, length = head
         body = await reader.readexactly(length) if length > 0 else b""
         keep_alive = (
             headers.get("connection", "").lower() != "close"
@@ -406,6 +390,49 @@ class VisibilityServer:
                 for name, (ok, detail) in checks.items()
             },
         }
+
+
+async def _read_head(reader):
+    """The next request's ``(method, target, version, headers, length)``.
+
+    Returns ``None`` when the client closed the connection between
+    requests.  A head the server refuses raises :class:`ProtocolError`;
+    the caller answers it and closes the connection, since the rest of
+    the stream can no longer be framed.
+    """
+    try:
+        request_line = await reader.readline()
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").strip().split(" ", 2)
+        if len(parts) != 3:
+            raise ProtocolError("malformed request line")
+        headers = {}
+        for _ in range(MAX_HEADER_LINES + 1):
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            # a second, different length would frame the body two ways
+            if name == "content-length" and headers.get(name, value) != value:
+                raise ProtocolError("conflicting Content-Length headers")
+            headers[name] = value
+        else:
+            raise ProtocolError(f"more than {MAX_HEADER_LINES} header lines")
+    except ValueError:  # readline: a line longer than the stream's limit
+        raise ProtocolError("request line or header line too long") from None
+    declared = headers.get("content-length") or "0"
+    try:
+        length = int(declared)
+    except ValueError:  # not a number, or more digits than int() converts
+        length = -1
+    # int() alone also takes a sign, spaces and underscores
+    if length < 0 or not declared.isdigit():
+        raise ProtocolError("bad Content-Length")
+    if length > MAX_BODY_BYTES:
+        raise ProtocolError(f"body exceeds {MAX_BODY_BYTES} bytes", 413)
+    return (*parts, headers, length)
 
 
 def admission_health(admission: AdmissionController):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.booldata import BooleanTable, Schema, kernels
-from repro.common.bits import bit_count, is_subset, random_mask
+from repro.common.bits import bit_count, bit_indices, is_subset, random_mask
 from repro.common.deadline import (
     NULL_TICKER,
     Deadline,
@@ -19,7 +19,8 @@ from repro.common.errors import (
     SolverInterrupted,
     ValidationError,
 )
-from repro.core import VisibilityProblem, make_solver
+from repro.core import VisibilityProblem, available_algorithms, make_solver
+from repro.core.registry import ENGINE_AWARE_ALGORITHMS
 
 
 class FakeClock:
@@ -144,6 +145,18 @@ class TestAmbientDeadline:
                 ticker.tick()
 
 
+def _short_instance():
+    """400 rows over 20 attributes, a 14-attribute tuple and m=6: a greedy
+    makes fewer checkpoints than the default stride, so a per-candidate
+    tick would never read the clock, while BruteForce enumerates C(14, 6)."""
+    rng = random.Random(5)
+    log = BooleanTable(
+        Schema.anonymous(20),
+        [random_mask(20, rng.randrange(1, 4), rng) for _ in range(400)],
+    )
+    return log, random_mask(20, 14, rng), 6
+
+
 class TestSolverCheckpoints:
     @pytest.mark.parametrize(
         "kernel", [k for k in ("python", "numpy") if k in kernels.available_kernels()]
@@ -152,20 +165,13 @@ class TestSolverCheckpoints:
     def test_expired_deadline_interrupts_vertical_consume_attr_cumul(
         self, kernel, steps
     ):
-        # 14 tuple attributes and m=6: fewer checkpoints than the default
-        # stride, so a per-candidate tick would never read the clock
-        rng = random.Random(5)
-        schema = Schema.anonymous(20)
-        log = BooleanTable(
-            schema, [random_mask(20, rng.randrange(1, 4), rng) for _ in range(400)]
-        )
-        new_tuple = random_mask(20, 14, rng)
-        budget = 6
+        log, new_tuple, budget = _short_instance()
         solver = make_solver("ConsumeAttrCumul", engine="vertical")
         full = solver.solve(VisibilityProblem(log, new_tuple, budget, kernel=kernel))
-        # construction reads 0; the checkpoint of step k (from 1) reads k,
-        # so the deadline fires at the start of step ``steps + 1``
-        deadline = Deadline(steps + 0.5, clock=SteppingClock())
+        # construction reads 0, the solve's opening check reads 1 and the
+        # checkpoint of step k (from 1) reads k + 1, so the deadline fires
+        # at the start of step ``steps + 1``
+        deadline = Deadline(steps + 1.5, clock=SteppingClock())
         with deadline_scope(deadline):
             with pytest.raises(DeadlineExceededError) as excinfo:
                 solver.solve(VisibilityProblem(log, new_tuple, budget, kernel=kernel))
@@ -174,3 +180,65 @@ class TestSolverCheckpoints:
         assert bit_count(best) == steps <= budget
         # the interrupted run had made the uninterrupted run's first picks
         assert is_subset(best, full.keep_mask)
+
+
+def _registry_cases():
+    """``(name, engine, reads)`` for every registry solver and engine: the
+    deadline expires at the solve's ``reads + 1``-th clock read, the
+    opening check (already expired) or the loop's first checkpoint
+    (mid-solve).  ConsumeAttr ranks in one pass, with no loop to stop."""
+    for name in available_algorithms():
+        engines = ("naive", "vertical") if name in ENGINE_AWARE_ALGORITHMS else (None,)
+        for engine in engines:
+            label = name if engine is None else f"{name}-{engine}"
+            for reads, when in ((0, "expired"), (1, "mid-solve")):
+                if not (reads and name == "ConsumeAttr"):
+                    yield pytest.param(name, engine, reads, id=f"{label}-{when}")
+
+
+@pytest.mark.parametrize("name, engine, reads", _registry_cases())
+def test_every_registry_solver_stops_at_an_expired_deadline(name, engine, reads):
+    log, new_tuple, budget = _short_instance()
+    solver = make_solver(name, engine=engine)
+    with deadline_scope(Deadline(reads + 0.5, clock=SteppingClock())):
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            solver.solve(VisibilityProblem(log, new_tuple, budget))
+    best = excinfo.value.best_known
+    if reads and name == "MaxFreqItemSets":
+        assert best is not None  # its anytime path always has an answer
+    if best is not None:
+        assert is_subset(best, new_tuple)
+        assert bit_count(best) <= budget
+
+
+@pytest.mark.parametrize("restrict", [True, False], ids=["projected", "unprojected"])
+def test_max_freq_itemsets_interrupted_in_the_miner_answers_consume_attr(restrict):
+    """Before the miner yields a candidate there is no incumbent, so the
+    ConsumeAttr selection stands in, computed past the expired deadline."""
+    log, new_tuple, budget = _short_instance()
+    greedy = make_solver("ConsumeAttr").solve(VisibilityProblem(log, new_tuple, budget))
+    solver = make_solver("MaxFreqItemSets", restrict_to_satisfiable=restrict)
+    # construction reads 0, the opening check 1, the greedy seed's
+    # opening check 2 and the miner's first checkpoint 3
+    with deadline_scope(Deadline(2.5, clock=SteppingClock())):
+        with pytest.raises(DeadlineExceededError, match="maximal-itemset DFS") as excinfo:
+            solver.solve(VisibilityProblem(log, new_tuple, budget))
+    assert excinfo.value.best_known == greedy.keep_mask
+
+
+@pytest.mark.parametrize("engine", ["naive", "vertical"])
+def test_consume_queries_reads_the_clock_within_a_pass(engine):
+    """600 two-attribute queries inside the tuple: no query adds a single
+    attribute, so the first pass visits every row, and the row checkpoint
+    fires at row 256 of it, before any query is consumed."""
+    rng = random.Random(7)
+    new_tuple = random_mask(20, 14, rng)
+    pairs = [sum(1 << a for a in rng.sample(bit_indices(new_tuple), 2)) for _ in range(600)]
+    log = BooleanTable(Schema.anonymous(20), pairs)
+    # construction reads 0, the opening check 1, step 1's checkpoint 2
+    with deadline_scope(Deadline(2.5, clock=SteppingClock())):
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            make_solver("ConsumeQueries", engine=engine).solve(
+                VisibilityProblem(log, new_tuple, 6)
+            )
+    assert excinfo.value.best_known == 0

@@ -9,6 +9,8 @@ same query streams.
 
 from __future__ import annotations
 
+import random
+import socket
 import threading
 import time
 
@@ -19,6 +21,7 @@ from repro.common.errors import ReproError
 from repro.obs.recorder import Recorder, recording
 from repro.runtime import SolverHarness
 from repro.serve import ServeConfig, ServerThread
+from repro.serve.app import MAX_HEADER_LINES
 from repro.simulate.monitor import VisibilityMonitor
 from tests.serve.conftest import request
 
@@ -128,6 +131,69 @@ def test_protocol_errors_over_the_wire():
         assert status == 413
 
 
+def exchange(port: int, raw: bytes, timeout_s: float = 10.0) -> bytes:
+    """Send ``raw`` on a fresh connection; return every byte the server
+    sends until it closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout_s) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while chunk := sock.recv(1 << 16):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+#: asyncio.start_server's default StreamReader line limit; each over-long
+#: case ends on the byte that crosses it, so the server has read every
+#: byte sent when it answers and closes
+STREAM_LIMIT = 1 << 16
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        pytest.param(
+            b"GET /status HTTP/1.1\r\n" + b"X-Repeat: 1\r\n" * (MAX_HEADER_LINES + 1),
+            b"header lines", id="too-many-header-lines",
+        ),
+        pytest.param(
+            b"GET /status HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            b"bad Content-Length", id="negative-content-length",
+        ),
+        pytest.param(
+            b"GET /status HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n",
+            b"bad Content-Length", id="underscored-content-length",
+        ),
+        pytest.param(
+            b"GET /status HTTP/1.1\r\nContent-Length: 25\r\nContent-Length: 0\r\n\r\n",
+            b"conflicting Content-Length", id="conflicting-content-lengths",
+        ),
+        pytest.param(
+            b"G" * (STREAM_LIMIT + 1), b"too long", id="over-long-request-line",
+        ),
+        pytest.param(
+            b"GET /status HTTP/1.1\r\n" + b"X" * (STREAM_LIMIT + 1),
+            b"too long", id="over-long-header-line",
+        ),
+    ],
+)
+def test_malformed_request_head_is_400_and_closes(raw, error):
+    with ServerThread(ServeConfig(width=WIDTH, chain=CHAIN)) as server:
+        reply = exchange(server.port, raw)
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert reply.count(b"HTTP/1.1 ") == 1  # nothing after it is framed
+    assert error in reply
+
+
+def test_header_block_at_the_cap_is_served():
+    with ServerThread(ServeConfig(width=WIDTH, chain=CHAIN)) as server:
+        reply = exchange(
+            server.port,
+            b"GET /status HTTP/1.1\r\nConnection: close\r\n"
+            + b"X-Repeat: 1\r\n" * (MAX_HEADER_LINES - 1) + b"\r\n",
+        )
+    assert reply.startswith(b"HTTP/1.1 200 ")
+
+
 def test_tenant_isolation():
     """One tenant's bad requests and window never leak into another's."""
     with ServerThread(ServeConfig(width=WIDTH, chain=CHAIN)) as server:
@@ -230,6 +296,71 @@ def test_global_overload_shed_is_503():
 
         gate.set()
         worker.join(timeout=10.0)
+
+
+def test_tiny_bounds_shed_yet_every_retrying_tenant_is_served():
+    """Bounded rejection under tiny admission bounds: clients that retry
+    on 429/503 all land, none gives up, every answer matches the serial
+    replay, and nothing stays pending after the drain."""
+    config = ServeConfig(
+        width=WIDTH, chain=CHAIN, deadline_ms=None,
+        queue_depth=1, max_pending=1, workers=2,
+    )
+    rng = random.Random(7)
+    streams = {
+        f"t{index}": [rng.randint(1, (1 << WIDTH) - 1) for _ in range(8)]
+        for index in range(6)
+    }
+    answers, gave_up = {}, []
+
+    def call(port, path, payload):
+        for attempt in range(1_000):
+            status, body, _ = request(port, "POST", path, payload)
+            if status not in (429, 503):
+                return status, body
+            time.sleep(0.002 * (1 + attempt % 5))
+        gave_up.append(payload["tenant"])
+        return status, body
+
+    def client(port, name, queries):
+        for start in range(0, len(queries), 2):
+            call(port, "/ingest", {"tenant": name, "queries": queries[start:start + 2]})
+        answers[name] = call(
+            port, "/solve", {"tenant": name, "new_tuple": NEW_TUPLE, "budget": BUDGET}
+        )
+
+    with ServerThread(config) as server:
+        port = server.port
+        # hold the only global slot, so the clients' first requests are shed
+        request(port, "POST", "/ingest", {"tenant": "holder", "queries": [1]})
+        gate, started = _gate_tenant_solve(server, "holder")
+        holder = threading.Thread(
+            target=request,
+            args=(port, "POST", "/solve", {"tenant": "holder", "new_tuple": 1, "budget": 1}),
+        )
+        holder.start()
+        assert started.wait(timeout=10.0)
+        clients = [
+            threading.Thread(target=client, args=(port, name, queries))
+            for name, queries in streams.items()
+        ]
+        for thread in clients:
+            thread.start()
+        wait_until(lambda: server.admission.shed["overload"] > 0)
+        gate.set()
+        for thread in (holder, *clients):
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert server.admission.total_pending == 0
+
+    assert gave_up == []
+    for name, queries in streams.items():
+        status, body = answers[name]
+        assert status == 200
+        outcome = serial_reference(queries)
+        assert (body["keep_mask"], body["satisfied"]) == (
+            outcome.solution.keep_mask, outcome.solution.satisfied,
+        )
 
 
 def test_tenant_limit_shed_is_429():
